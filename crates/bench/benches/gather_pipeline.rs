@@ -17,7 +17,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dtask::{
-    Cluster, ClusterConfig, Datum, GatherMode, HeartbeatInterval, HistSnapshot, Key, TaskSpec,
+    Cluster, ClusterConfig, Counter, Datum, GatherMode, HeartbeatInterval, HistSnapshot, Key,
+    TaskSpec,
 };
 use std::time::{Duration, Instant};
 
@@ -92,15 +93,15 @@ fn timed_config(label: &str, slots: usize, mode: GatherMode, rounds: u64) -> Dur
     }
     let elapsed = started.elapsed();
     let stats = cluster.stats();
-    let batches = stats.gather_batches().max(1);
+    let batches = stats.get(Counter::GatherBatches).max(1);
     println!(
         "  {label:<28} {:>7.1} ms | gather: {} batches, {} remote deps, \
          {:.2} ms avg wait/batch | exec util {:.0}%",
         elapsed.as_secs_f64() * 1e3,
-        stats.gather_batches(),
-        stats.gather_deps(),
-        stats.gather_wait_ns() as f64 / batches as f64 / 1e6,
-        stats.executor_utilization() * 100.0,
+        stats.get(Counter::GatherBatches),
+        stats.get(Counter::GatherDeps),
+        stats.get(Counter::GatherWaitNs) as f64 / batches as f64 / 1e6,
+        stats.readings().executor_utilization() * 100.0,
     );
     let gather = HistSnapshot::capture(stats.gather_wait_hist());
     let queue = HistSnapshot::capture(stats.queue_delay_hist());

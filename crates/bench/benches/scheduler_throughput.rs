@@ -20,8 +20,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dtask::{
-    Cluster, ClusterConfig, Datum, FaultConfig, HeartbeatInterval, IngestMode, Json, Key, MsgClass,
-    OptimizeConfig, PolicyConfig, StatsSnapshot, StoreConfig, TaskSpec, TelemetryConfig,
+    Cluster, ClusterConfig, Counter, Datum, FaultConfig, HeartbeatInterval, IngestMode, Json, Key,
+    MsgClass, OptimizeConfig, PolicyConfig, StatsSnapshot, StoreConfig, TaskSpec, TelemetryConfig,
     TenancyConfig, TraceConfig, TransportConfig, WireLane,
 };
 use insitu_sim::schedlab;
@@ -159,19 +159,19 @@ fn timed_config(
     }
     let elapsed = started.elapsed();
     let stats = cluster.stats();
-    let sched_to_worker = stats.assign_messages();
-    let bursts = stats.ingest_bursts().max(1);
+    let sched_to_worker = stats.get(Counter::AssignMessages);
+    let bursts = stats.get(Counter::IngestBursts).max(1);
     println!(
         "  {label:<30} {:>7.1} ms | {} tasks in -> {} kept ({} culled, {} fused chains) | \
          {} assigns in {} msgs | {:.1} msgs/burst | {} task reports",
         elapsed.as_secs_f64() * 1e3,
-        stats.optimize_tasks_in(),
-        stats.optimize_tasks_out(),
-        stats.optimize_culled(),
-        stats.fused_chains(),
-        stats.assign_tasks(),
+        stats.get(Counter::OptimizeTasksIn),
+        stats.get(Counter::OptimizeTasksOut),
+        stats.get(Counter::OptimizeCulled),
+        stats.get(Counter::FusedChains),
+        stats.get(Counter::AssignTasks),
         sched_to_worker,
-        stats.ingest_msgs() as f64 / bursts as f64,
+        stats.get(Counter::IngestMsgs) as f64 / bursts as f64,
         stats.count(MsgClass::TaskReport),
     );
     let msgs = sched_to_worker + stats.count(MsgClass::TaskReport);
@@ -446,8 +446,8 @@ fn live_policy_matrix() -> Vec<LiveRow> {
                 policy: config.kind.name(),
                 workload: wname,
                 median_ms: median_ms(samples),
-                steal_requests: stats.steal_requests(),
-                tasks_stolen: stats.tasks_stolen(),
+                steal_requests: stats.get(Counter::StealRequests),
+                tasks_stolen: stats.get(Counter::TasksStolen),
             });
         }
     }
@@ -631,7 +631,7 @@ fn bench_scheduler_throughput(c: &mut Criterion) {
     let tel_hub = tel_on_cluster.telemetry().expect("telemetry on");
     let tel_flight_samples = tel_hub.flight().len();
     let tel_sample_every_ms = tel_hub.config().sample_every.as_millis() as u64;
-    let tel_stragglers = tel_on_cluster.stats().stragglers_flagged();
+    let tel_stragglers = tel_on_cluster.stats().get(Counter::StragglersFlagged);
     println!(
         "  telemetry A/B (median round): off {tel_off_ms:.2} ms, on {tel_on_ms:.2} ms \
          ({telemetry_overhead_pct:+.1}% — target <= 5%) | {tel_flight_samples} flight samples \
@@ -690,15 +690,17 @@ fn bench_scheduler_throughput(c: &mut Criterion) {
         "  transport A/B (median round): inproc {inproc_ms:.2} ms, framed {framed_ms:.2} ms \
          ({framed_overhead_pct:+.1}%), tcp {tcp_ms:.2} ms ({tcp_overhead_pct:+.1}%) | \
          framed {} wire msgs / {} wire bytes, tcp {} wire msgs / {} wire bytes",
-        framed_snap.wire_total_messages,
-        framed_snap.wire_total_bytes,
-        tcp_snap.wire_total_messages,
-        tcp_snap.wire_total_bytes
+        framed_snap.readings.wire_total_messages(),
+        framed_snap.readings.wire_total_bytes(),
+        tcp_snap.readings.wire_total_messages(),
+        tcp_snap.readings.wire_total_bytes()
     );
-    for lane in &framed_snap.wire_lanes {
+    for lane in WireLane::ALL {
         println!(
             "    lane {:<10} {:>7} msgs {:>10} bytes",
-            lane.name, lane.messages, lane.bytes
+            lane.name(),
+            framed_snap.readings.wire_messages(lane),
+            framed_snap.readings.wire_bytes(lane)
         );
     }
 
@@ -732,9 +734,14 @@ fn bench_scheduler_throughput(c: &mut Criterion) {
     // detection plus resubmission of the stranded tasks onto survivors.
     let chaos_baseline_ms = chaos_round(false).0;
     let (chaos_killed_ms, chaos_snap) = chaos_round(true);
-    assert!(chaos_snap.peers_lost >= 1, "kill must be detected");
     assert!(
-        chaos_snap.tasks_resubmitted + chaos_snap.recomputes >= 1,
+        chaos_snap.readings.get(Counter::PeersLost) >= 1,
+        "kill must be detected"
+    );
+    assert!(
+        chaos_snap.readings.get(Counter::TasksResubmitted)
+            + chaos_snap.readings.get(Counter::Recomputes)
+            >= 1,
         "recovery must have done work"
     );
     let recovery_overhead_ms = chaos_killed_ms - chaos_baseline_ms;
@@ -742,7 +749,9 @@ fn bench_scheduler_throughput(c: &mut Criterion) {
         "  chaos A/B: undisturbed {chaos_baseline_ms:.1} ms, 1-of-{CHAOS_WORKERS} workers \
          killed {chaos_killed_ms:.1} ms (recovery makespan {recovery_overhead_ms:+.1} ms) | \
          {} peers lost, {} tasks resubmitted, {} recomputes",
-        chaos_snap.peers_lost, chaos_snap.tasks_resubmitted, chaos_snap.recomputes
+        chaos_snap.readings.get(Counter::PeersLost),
+        chaos_snap.readings.get(Counter::TasksResubmitted),
+        chaos_snap.readings.get(Counter::Recomputes)
     );
 
     // Multi-tenant Poisson serving: one sustained simulation session keeps
@@ -811,7 +820,7 @@ fn bench_scheduler_throughput(c: &mut Criterion) {
     let session_p50_ms = percentile_ms(&session_ms, 0.50);
     let session_p99_ms = percentile_ms(&session_ms, 0.99);
     assert_eq!(
-        tenant_cluster.stats().notifies_dropped(),
+        tenant_cluster.stats().get(Counter::NotifiesDropped),
         0,
         "multi-tenant happy path drops no notifications"
     );

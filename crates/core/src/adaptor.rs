@@ -181,7 +181,7 @@ mod tests {
     use super::*;
     use crate::bridge::Bridge;
     use crate::DeisaVersion;
-    use dtask::Cluster;
+    use dtask::{Cluster, Counter};
     use linalg::NDArray;
 
     fn varr(t: usize) -> VirtualArray {
@@ -320,7 +320,7 @@ mod tests {
         // the extended-scatter accounting is bit-identical to the
         // unoptimized protocol.
         let stats = cluster.stats();
-        assert!(stats.optimize_tasks_in() > 0);
+        assert!(stats.get(Counter::OptimizeTasksIn) > 0);
         assert_eq!(
             stats.count(dtask::MsgClass::UpdateDataExternal),
             (t_max * n_ranks) as u64

@@ -364,7 +364,7 @@ mod tests {
     use super::*;
     use crate::pca::Pca;
     use darray::{register_array_ops, DArray};
-    use dtask::Cluster;
+    use dtask::{Cluster, Counter};
 
     fn cluster() -> Cluster {
         let c = Cluster::new(3);
@@ -544,7 +544,7 @@ mod tests {
         assert_eq!(model.n_samples_seen, local.n_samples_seen);
         assert!(model.components.max_abs_diff(&local.components).unwrap() < 1e-9);
         // The optimizer actually ran over the submitted graphs.
-        assert!(c.stats().optimize_tasks_in() > 0);
+        assert!(c.stats().get(Counter::OptimizeTasksIn) > 0);
     }
 
     #[test]

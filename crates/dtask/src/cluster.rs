@@ -7,7 +7,7 @@ use crate::optimize::OptimizeConfig;
 use crate::policy::PolicyConfig;
 use crate::scheduler::{IngestMode, LivenessConfig, Scheduler};
 use crate::spec::OpRegistry;
-use crate::stats::SchedulerStats;
+use crate::stats::{Counter, SchedulerStats};
 use crate::store::{ObjectStore, StoreConfig};
 use crate::telemetry::{self, TelemetryConfig, TelemetryHub};
 use crate::trace::{TraceActor, TraceConfig, TraceRecorder};
@@ -802,7 +802,7 @@ impl Cluster {
         for t in exec_threads {
             let _ = t.join();
         }
-        self.stats.record_injected_kill();
+        self.stats.add(Counter::InjectedKills, 1);
     }
 
     /// Consume the scheduled kill from [`FaultPlan::kill_worker`] if its
@@ -1501,7 +1501,7 @@ mod tests {
             elapsed < Duration::from_millis(200),
             "slots did not overlap: {elapsed:?}"
         );
-        assert!(cluster.stats().exec_busy_ns() > 0);
+        assert!(cluster.stats().get(Counter::ExecBusyNs) > 0);
     }
 
     #[test]
@@ -1522,8 +1522,8 @@ mod tests {
             vec!["a".into(), "b".into()],
         )]);
         assert_eq!(client.future("c").result().unwrap().as_f64(), Some(3.0));
-        assert!(cluster.stats().gather_batches() >= 1);
-        assert!(cluster.stats().gather_wait_ns() > 0);
+        assert!(cluster.stats().get(Counter::GatherBatches) >= 1);
+        assert!(cluster.stats().get(Counter::GatherWaitNs) > 0);
     }
 
     #[test]
@@ -1550,8 +1550,8 @@ mod tests {
         ]);
         assert_eq!(client.future("b").result().unwrap().as_f64(), Some(2.0));
         // Per-message mode: one assignment message per task.
-        assert_eq!(cluster.stats().assign_tasks(), 2);
-        assert_eq!(cluster.stats().assign_messages(), 2);
+        assert_eq!(cluster.stats().get(Counter::AssignTasks), 2);
+        assert_eq!(cluster.stats().get(Counter::AssignMessages), 2);
     }
 
     #[test]
@@ -1564,9 +1564,11 @@ mod tests {
         client.submit(specs);
         let keys: Vec<Key> = (0..16).map(|i| Key::new(format!("b{i}"))).collect();
         client.gather_many(&keys).unwrap();
-        assert!(cluster.stats().ingest_bursts() >= 1);
-        assert!(cluster.stats().ingest_msgs() >= cluster.stats().ingest_bursts());
-        assert!(cluster.stats().assign_passes() >= 1);
+        assert!(cluster.stats().get(Counter::IngestBursts) >= 1);
+        assert!(
+            cluster.stats().get(Counter::IngestMsgs) >= cluster.stats().get(Counter::IngestBursts)
+        );
+        assert!(cluster.stats().get(Counter::AssignPasses) >= 1);
     }
 
     #[test]
@@ -1590,9 +1592,13 @@ mod tests {
             ),
         ]);
         assert_eq!(client.future("out").result().unwrap().as_f64(), Some(8.0));
-        assert_eq!(cluster.stats().optimize_tasks_in(), 4);
-        assert_eq!(cluster.stats().optimize_tasks_out(), 4, "stages preserved");
-        assert_eq!(cluster.stats().fused_chains(), 1);
+        assert_eq!(cluster.stats().get(Counter::OptimizeTasksIn), 4);
+        assert_eq!(
+            cluster.stats().get(Counter::OptimizeTasksOut),
+            4,
+            "stages preserved"
+        );
+        assert_eq!(cluster.stats().get(Counter::FusedChains), 1);
         // The scheduler saw one spec, ran one task, got one report.
         assert_eq!(
             cluster.stats().count(crate::stats::MsgClass::TaskSubmitted),
@@ -1661,7 +1667,7 @@ mod tests {
             &[Key::new("want")],
         );
         assert_eq!(client.future("want").result().unwrap().as_f64(), Some(1.0));
-        assert_eq!(cluster.stats().optimize_culled(), 1);
+        assert_eq!(cluster.stats().get(Counter::OptimizeCulled), 1);
         // The culled task never reached the scheduler.
         assert!(client
             .future("dead")
@@ -1812,7 +1818,7 @@ mod tests {
             vec![],
         )]);
         client.future("outlier").result().unwrap();
-        assert_eq!(cluster.stats().stragglers_flagged(), 1);
+        assert_eq!(cluster.stats().get(Counter::StragglersFlagged), 1);
         let alerts = hub.alerts();
         assert_eq!(alerts.len(), 1, "exactly one alert: {alerts:?}");
         assert_eq!(alerts[0].kind, crate::telemetry::AlertKind::Straggler);

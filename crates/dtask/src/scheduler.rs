@@ -22,7 +22,7 @@ use crate::key::{Key, SessionId, DEFAULT_SESSION};
 use crate::msg::{ClientId, ClientMsg, DataMsg, ErrorCause, SchedMsg, TaskError, WorkerId};
 use crate::policy::{PolicyConfig, SchedulingPolicy, WorkerState};
 use crate::spec::TaskSpec;
-use crate::stats::{MsgClass, SchedulerStats};
+use crate::stats::{Counter, MsgClass, SchedulerStats};
 use crate::telemetry::TelemetryHub;
 use crate::trace::{EventKind, TraceHandle};
 use crate::transport::Endpoint;
@@ -463,7 +463,7 @@ impl Scheduler {
             // A silently vanished notification is indistinguishable from
             // a hung client; count it so operators can tell the two
             // apart from `/metrics`.
-            self.stats.record_notify_dropped();
+            self.stats.add(Counter::NotifiesDropped, 1);
         }
     }
 
@@ -1047,7 +1047,7 @@ impl Scheduler {
             if has_live_replica {
                 return;
             }
-            self.stats.record_external_block_lost();
+            self.stats.add(Counter::ExternalBlocksLost, 1);
             self.mark_erred(
                 key.clone(),
                 TaskError::new(key, format!("data landed on dead worker {worker}"))
@@ -1209,7 +1209,7 @@ impl Scheduler {
             .insert(client, Instant::now())
             .is_none()
         {
-            self.stats.record_peer_tracked();
+            self.stats.add(Counter::PeersTracked, 1);
         }
     }
 
@@ -1224,7 +1224,7 @@ impl Scheduler {
             return;
         }
         if entry.last_seen.is_none() {
-            self.stats.record_peer_tracked();
+            self.stats.add(Counter::PeersTracked, 1);
         }
         entry.last_seen = Some(Instant::now());
     }
@@ -1274,7 +1274,7 @@ impl Scheduler {
             if entry.state != TaskState::Ready {
                 continue;
             }
-            self.stats.record_task_resubmitted();
+            self.stats.add(Counter::TasksResubmitted, 1);
             self.tracer
                 .instant(EventKind::Resubmit, Some(&key), entry.retries as u64);
             // Through the policy queue, not a raw FIFO append: a priority
@@ -1307,7 +1307,7 @@ impl Scheduler {
             .collect();
         for client in lost_clients {
             if self.clients.contains(&client) {
-                self.stats.record_peer_lost();
+                self.stats.add(Counter::PeersLost, 1);
                 // Client ids share the worker arg space in trace events;
                 // they live at the top of the u64 range to stay distinct.
                 self.tracer
@@ -1327,7 +1327,7 @@ impl Scheduler {
     fn on_worker_lost(&mut self, worker: WorkerId) {
         self.workers[worker].alive = false;
         self.workers[worker].processing = 0;
-        self.stats.record_peer_lost();
+        self.stats.add(Counter::PeersLost, 1);
         self.tracer
             .instant(EventKind::PeerLost, None, worker as u64);
         let mut lost_inflight = Vec::new();
@@ -1363,7 +1363,7 @@ impl Scheduler {
         entry.assigned_to = None;
         let retries = entry.retries;
         if retries > self.liveness.max_retries {
-            self.stats.record_retries_exhausted();
+            self.stats.add(Counter::RetriesExhausted, 1);
             let error = TaskError::new(
                 key.clone(),
                 format!(
@@ -1412,7 +1412,7 @@ impl Scheduler {
         if entry.spec.is_none() {
             // External (or scattered) block: the environment produced it,
             // only the dead worker held it. Unrecoverable by design.
-            self.stats.record_external_block_lost();
+            self.stats.add(Counter::ExternalBlocksLost, 1);
             self.mark_erred(
                 key.clone(),
                 TaskError::new(
@@ -1423,7 +1423,7 @@ impl Scheduler {
             );
             return;
         }
-        self.stats.record_recompute();
+        self.stats.add(Counter::Recomputes, 1);
         // Dependents that already consumed this result must wait for the
         // recompute (only those not yet running; in-flight ones that trip
         // on the missing input come back through the retry path).
@@ -1496,7 +1496,7 @@ impl Scheduler {
     /// it via [`crate::msg::ExecMsg::Steal`]. The victim answers with
     /// `Stolen`; no peer with surplus is an immediate miss.
     fn handle_steal_request(&mut self, thief: WorkerId) {
-        self.stats.record_steal_request();
+        self.stats.add(Counter::StealRequests, 1);
         if !self.worker_alive(thief) {
             return;
         }
@@ -1505,7 +1505,7 @@ impl Scheduler {
             .filter(|&w| self.workers[w].processing > self.workers[w].slots)
             .max_by(|&a, &b| WorkerState::load_cmp(&self.workers[a], &self.workers[b]));
         let Some(victim) = victim else {
-            self.stats.record_steal_miss();
+            self.stats.add(Counter::StealMisses, 1);
             return;
         };
         // Take half the surplus: enough to matter, and the victim keeps its
@@ -1527,7 +1527,7 @@ impl Scheduler {
         }
         self.steal_inflight[victim] = false;
         if keys.is_empty() {
-            self.stats.record_steal_miss();
+            self.stats.add(Counter::StealMisses, 1);
             return;
         }
         let thief_alive = self.worker_alive(thief);
@@ -1549,7 +1549,7 @@ impl Scheduler {
             }
             entry.assigned_to = Some(thief);
             self.workers[thief].processing += 1;
-            self.stats.record_task_stolen();
+            self.stats.add(Counter::TasksStolen, 1);
             self.tracer
                 .instant(EventKind::Steal, Some(&key), thief as u64);
         }
@@ -1599,7 +1599,7 @@ impl Scheduler {
             };
             let Some(worker) = worker else {
                 // Every worker is gone: nothing can ever run this.
-                self.stats.record_retries_exhausted();
+                self.stats.add(Counter::RetriesExhausted, 1);
                 self.mark_erred(
                     key.clone(),
                     TaskError::new(key, "no live workers remain").with_cause(ErrorCause::PeerLost),

@@ -26,7 +26,7 @@
 
 use crate::datum::Datum;
 use crate::key::Key;
-use crate::stats::SchedulerStats;
+use crate::stats::{Counter, SchedulerStats};
 use crate::trace::{EventKind, TraceHandle};
 use linalg::NDArray;
 use parking_lot::Mutex;
@@ -184,13 +184,13 @@ impl ObjectStore {
     pub fn get(&self, key: &Key) -> Option<Datum> {
         let mut inner = self.inner.lock();
         if !inner.entries.contains_key(key) {
-            self.stats.record_store_miss();
+            self.stats.add(Counter::StoreMisses, 1);
             self.trace.instant(EventKind::StoreMiss, Some(key), 0);
             return None;
         }
         self.touch(&mut inner, key);
         if let Some(Entry::Mem(value)) = inner.entries.get(key) {
-            self.stats.record_store_hit();
+            self.stats.add(Counter::StoreHits, 1);
             return Some(value.clone());
         }
         // Spilled: restore, re-admit as most-recently-used, re-balance the
@@ -207,8 +207,8 @@ impl ObjectStore {
         let restored = read_spill(&path, &shape)
             .unwrap_or_else(|e| panic!("store w{}: restoring {key} failed: {e}", self.worker));
         let _ = std::fs::remove_file(&path);
-        self.stats.record_store_restore();
-        self.stats.record_store_hit();
+        self.stats.add(Counter::StoreRestores, 1);
+        self.stats.add(Counter::StoreHits, 1);
         self.trace
             .span(EventKind::StoreRestore, t0, Some(key), nbytes);
         let value = Datum::Array(Arc::new(restored));
@@ -519,14 +519,14 @@ mod tests {
         assert!(store.is_spilled(&key("b")), "LRU entry spills first");
         assert!(!store.is_spilled(&key("a")));
         assert!(!store.is_spilled(&key("c")));
-        assert_eq!(stats.store_spills(), 1);
-        assert_eq!(stats.store_spill_bytes(), 1024);
+        assert_eq!(stats.get(Counter::StoreSpills), 1);
+        assert_eq!(stats.get(Counter::StoreSpillBytes), 1024);
         assert_eq!(store.mem_bytes(), 2 * 1024);
         assert_eq!(store.total_bytes(), 3 * 1024, "spilling frees no data");
         // Access the spilled entry: restored bit-exact, another entry spills.
         let b = store.get(&key("b")).unwrap();
         assert_eq!(b.as_array().unwrap().get(&[5]), 2.0);
-        assert_eq!(stats.store_restores(), 1);
+        assert_eq!(stats.get(Counter::StoreRestores), 1);
         assert!(
             store.is_spilled(&key("a")) || store.is_spilled(&key("c")),
             "restoring over budget re-balances onto another entry"
@@ -575,7 +575,7 @@ mod tests {
             TraceHandle::disabled(),
         );
         assert!(store.get(&key("nope")).is_none());
-        assert_eq!(stats.store_misses(), 1);
+        assert_eq!(stats.get(Counter::StoreMisses), 1);
         store.insert(key("s"), Datum::Str("not spillable".into()));
         store.insert(key("l"), Datum::List(vec![Datum::F64(0.5)]));
         // Over budget but nothing spillable: data is kept, not dropped.

@@ -30,7 +30,7 @@
 use crate::json::Json;
 use crate::key::Key;
 use crate::snapshot::StatsSnapshot;
-use crate::stats::{MsgClass, SchedulerStats, WireLane, N_WIRE_LANES};
+use crate::stats::{Counter, MsgClass, Readings, SchedulerStats, WireLane, N_WIRE_LANES};
 use crate::trace::TraceRecorder;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -271,12 +271,7 @@ fn mid(sorted: &[u64]) -> f64 {
 /// The delta cursor one sampler keeps between two `sample` calls.
 struct SamplerCursor {
     t_prev: Instant,
-    tasks: u64,
-    lane_bytes: [u64; N_WIRE_LANES],
-    steals: u64,
-    steal_misses: u64,
-    spills: u64,
-    spill_bytes: u64,
+    prev: Readings,
 }
 
 // ---- the hub ----------------------------------------------------------------
@@ -399,7 +394,7 @@ impl TelemetryHub {
             flagged
         };
         if flagged {
-            self.stats.record_straggler();
+            self.stats.add(Counter::StragglersFlagged, 1);
             self.raise(Alert {
                 kind: AlertKind::Straggler,
                 t_ms: self.now_ms(),
@@ -451,17 +446,10 @@ impl TelemetryHub {
         let dt_s = dt.as_secs_f64().max(1e-9);
         cursor.t_prev = now;
 
-        let tasks = self.stats.count(MsgClass::TaskReport);
-        let steals = self.stats.tasks_stolen();
-        let steal_misses = self.stats.steal_misses();
-        let spills = self.stats.store_spills();
-        let spill_bytes = self.stats.store_spill_bytes();
-        let mut lane_bytes = [0u64; N_WIRE_LANES];
-        let mut lane_bytes_per_s = [0.0f64; N_WIRE_LANES];
-        for (i, &lane) in WireLane::ALL.iter().enumerate() {
-            lane_bytes[i] = self.stats.wire_bytes(lane);
-            lane_bytes_per_s[i] = (lane_bytes[i] - cursor.lane_bytes[i]) as f64 / dt_s;
-        }
+        let (now_r, prev) = (self.stats.readings(), &cursor.prev);
+        let per_s = |read: fn(&Readings) -> u64| (read(&now_r) - read(prev)) as f64 / dt_s;
+        let lane_bytes_per_s = WireLane::ALL
+            .map(|lane| (now_r.wire_bytes(lane) - prev.wire_bytes(lane)) as f64 / dt_s);
 
         let queue_depth_peak = self.queue_depth_peak.swap(0, Ordering::Relaxed);
         let worker_gap_ns = self.worker_gap_ns.load(Ordering::Relaxed);
@@ -469,26 +457,21 @@ impl TelemetryHub {
         let sample = FlightSample {
             t_ms: self.now_ms(),
             dt_ms: dt.as_nanos() as f64 / 1e6,
-            tasks_per_s: (tasks - cursor.tasks) as f64 / dt_s,
+            tasks_per_s: per_s(|r| r.count(MsgClass::TaskReport)),
             lane_bytes_per_s,
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             queue_depth_peak,
             workers_alive: self.workers_alive.load(Ordering::Relaxed),
             sessions_active: self.sessions_active.load(Ordering::Relaxed),
-            steals_per_s: (steals - cursor.steals) as f64 / dt_s,
-            steal_misses_per_s: (steal_misses - cursor.steal_misses) as f64 / dt_s,
-            spills_per_s: (spills - cursor.spills) as f64 / dt_s,
-            spill_bytes_per_s: (spill_bytes - cursor.spill_bytes) as f64 / dt_s,
-            stragglers_flagged: self.stats.stragglers_flagged(),
+            steals_per_s: per_s(|r| r.get(Counter::TasksStolen)),
+            steal_misses_per_s: per_s(|r| r.get(Counter::StealMisses)),
+            spills_per_s: per_s(|r| r.get(Counter::StoreSpills)),
+            spill_bytes_per_s: per_s(|r| r.get(Counter::StoreSpillBytes)),
+            stragglers_flagged: now_r.get(Counter::StragglersFlagged),
             worker_gap_ms: worker_gap_ns as f64 / 1e6,
             client_gap_ms: client_gap_ns as f64 / 1e6,
         };
-        cursor.tasks = tasks;
-        cursor.lane_bytes = lane_bytes;
-        cursor.steals = steals;
-        cursor.steal_misses = steal_misses;
-        cursor.spills = spills;
-        cursor.spill_bytes = spill_bytes;
+        cursor.prev = now_r;
 
         if let Some(depth) = self.config.queue_depth_alert {
             self.edge_alert(
@@ -572,12 +555,7 @@ pub fn run_sampler(hub: Arc<TelemetryHub>, stop: Arc<AtomicBool>) {
     let nap = Duration::from_millis(5).min(interval);
     let mut cursor = SamplerCursor {
         t_prev: Instant::now(),
-        tasks: 0,
-        lane_bytes: [0; N_WIRE_LANES],
-        steals: 0,
-        steal_misses: 0,
-        spills: 0,
-        spill_bytes: 0,
+        prev: Readings::ZERO,
     };
     let mut next = Instant::now() + interval;
     while !stop.load(Ordering::Relaxed) {
@@ -766,7 +744,7 @@ mod tests {
         // A 50× outlier flags: counter + alert with the task key.
         let slow = Key::new("slow");
         assert!(hub.observe_exec("sum", &slow, 1, 50_000));
-        assert_eq!(hub.stats.stragglers_flagged(), 1);
+        assert_eq!(hub.stats.get(Counter::StragglersFlagged), 1);
         let alerts = hub.alerts();
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].kind, AlertKind::Straggler);
@@ -803,12 +781,7 @@ mod tests {
         let hub = test_hub(config);
         let mut cursor = SamplerCursor {
             t_prev: Instant::now(),
-            tasks: 0,
-            lane_bytes: [0; N_WIRE_LANES],
-            steals: 0,
-            steal_misses: 0,
-            spills: 0,
-            spill_bytes: 0,
+            prev: Readings::ZERO,
         };
         hub.publish_scheduler(15, 2, 0, 0, 0);
         hub.sample(&mut cursor); // crossing: one alert
@@ -834,12 +807,7 @@ mod tests {
         let hub = test_hub(config);
         let mut cursor = SamplerCursor {
             t_prev: Instant::now(),
-            tasks: 0,
-            lane_bytes: [0; N_WIRE_LANES],
-            steals: 0,
-            steal_misses: 0,
-            spills: 0,
-            spill_bytes: 0,
+            prev: Readings::ZERO,
         };
         for _ in 0..5 {
             hub.sample(&mut cursor);
@@ -856,12 +824,7 @@ mod tests {
         let hub = test_hub(TelemetryConfig::enabled());
         let mut cursor = SamplerCursor {
             t_prev: Instant::now() - Duration::from_secs(1),
-            tasks: 0,
-            lane_bytes: [0; N_WIRE_LANES],
-            steals: 0,
-            steal_misses: 0,
-            spills: 0,
-            spill_bytes: 0,
+            prev: Readings::ZERO,
         };
         for _ in 0..10 {
             hub.stats.record(MsgClass::TaskReport, 0);

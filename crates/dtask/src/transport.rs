@@ -17,7 +17,7 @@
 //! so the default path stays allocation- and codec-free.
 
 use crate::msg::{ClientId, ClientMsg, DataMsg, ExecMsg, SchedMsg, WorkerId};
-use crate::stats::{SchedulerStats, WireLane};
+use crate::stats::{Counter, SchedulerStats, WireLane};
 use crate::trace::{EventKind, TraceHandle};
 use crate::wire;
 use crate::Datum;
@@ -651,7 +651,7 @@ impl Router {
             if f.should_drop(payload.lane()) {
                 // Lost "on the wire": never encoded, never delivered. The
                 // counter is the only evidence — exactly like a real loss.
-                self.stats.record_injected_drop();
+                self.stats.add(Counter::InjectedDrops, 1);
                 return;
             }
         }
@@ -878,7 +878,7 @@ mod tests {
         ep.send_sched(SchedMsg::Heartbeat { client: 0 });
         assert!(matches!(rx.recv().unwrap(), SchedMsg::Heartbeat { .. }));
         assert_eq!(router.stats.wire_total_messages(), 0);
-        assert_eq!(router.stats.wire_total_bytes(), 0);
+        assert_eq!(router.stats.readings().wire_total_bytes(), 0);
     }
 
     #[test]
@@ -968,7 +968,7 @@ mod tests {
             delivered += 1;
         }
         assert_eq!(delivered, 5, "half the lane must be dropped");
-        assert_eq!(router.stats.injected_drops(), 5);
+        assert_eq!(router.stats.get(Counter::InjectedDrops), 5);
         // Dropped frames never hit the wire counters.
         assert_eq!(router.stats.wire_messages(WireLane::SchedIn), 5);
     }
@@ -986,7 +986,7 @@ mod tests {
         let ep = router.endpoint(Addr::Client(0));
         ep.send_sched(SchedMsg::Heartbeat { client: 0 });
         assert!(rx.try_recv().is_ok(), "sched lane must be untouched");
-        assert_eq!(router.stats.injected_drops(), 0);
+        assert_eq!(router.stats.get(Counter::InjectedDrops), 0);
     }
 
     #[test]

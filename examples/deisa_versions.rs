@@ -70,7 +70,7 @@ fn run_deisa1() -> (f64, u64, u64) {
     let stats = cluster.stats();
     (
         total,
-        stats.bridge_metadata_messages(),
+        stats.readings().bridge_metadata_messages(),
         stats.count(MsgClass::GraphSubmit),
     )
 }
@@ -116,7 +116,7 @@ fn run_deisa3() -> (f64, u64, u64) {
     let stats = cluster.stats();
     (
         total,
-        stats.bridge_metadata_messages(),
+        stats.readings().bridge_metadata_messages(),
         stats.count(MsgClass::GraphSubmit),
     )
 }

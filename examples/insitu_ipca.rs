@@ -31,8 +31,8 @@ use deisa_repro::deisa::plugin::DeisaPlugin;
 use deisa_repro::deisa::{Adaptor, DeisaVersion, Selection};
 use deisa_repro::dml::{self, InSituIncrementalPCA, SvdSolver};
 use deisa_repro::dtask::{
-    Cluster, ClusterConfig, Datum, FaultConfig, HeartbeatInterval, PolicyConfig, StoreConfig,
-    TelemetryConfig, TraceConfig, TransportConfig,
+    Cluster, ClusterConfig, Counter, Datum, FaultConfig, HeartbeatInterval, PolicyConfig,
+    StoreConfig, TelemetryConfig, TraceConfig, TransportConfig,
 };
 use deisa_repro::heat2d::{run_rank, HeatConfig};
 use deisa_repro::mpisim::World;
@@ -267,15 +267,19 @@ fn main() {
     if chaos {
         // Give the liveness sweep time to attribute the kill before checking.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while stats.peers_lost() < 1 && std::time::Instant::now() < deadline {
+        while stats.get(Counter::PeersLost) < 1 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(stats.injected_kills(), 1);
-        assert_eq!(stats.peers_lost(), 1, "the kill must be attributed");
+        assert_eq!(stats.get(Counter::InjectedKills), 1);
+        assert_eq!(
+            stats.get(Counter::PeersLost),
+            1,
+            "the kill must be attributed"
+        );
         println!(
             "chaos: {} peer lost, {} external blocks lost, model {}",
-            stats.peers_lost(),
-            stats.external_blocks_lost(),
+            stats.get(Counter::PeersLost),
+            stats.get(Counter::ExternalBlocksLost),
             if model.is_some() {
                 "recovered"
             } else {

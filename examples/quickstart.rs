@@ -58,8 +58,8 @@
 
 use deisa_repro::darray::{self, DArray, Graph};
 use deisa_repro::dtask::{
-    Cluster, ClusterConfig, Datum, EventKind, FaultConfig, HeartbeatInterval, Key, PolicyConfig,
-    SimNetConfig, StatsSnapshot, StoreConfig, SubmitError, TaskSpec, TelemetryConfig,
+    Cluster, ClusterConfig, Counter, Datum, EventKind, FaultConfig, HeartbeatInterval, Key,
+    PolicyConfig, SimNetConfig, StatsSnapshot, StoreConfig, SubmitError, TaskSpec, TelemetryConfig,
     TenancyConfig, TraceActor, TraceConfig, TransportConfig, WireLane,
 };
 use deisa_repro::linalg::NDArray;
@@ -235,7 +235,7 @@ fn main() {
                 // the remaining blocks onto the survivors' replicas.
                 println!("chaos: kill one dtask-node worker process now");
                 let deadline = Instant::now() + Duration::from_secs(60);
-                while cluster.stats().peers_lost() < 1 {
+                while cluster.stats().get(Counter::PeersLost) < 1 {
                     assert!(
                         Instant::now() < deadline,
                         "no worker process died within the chaos window"
@@ -296,7 +296,7 @@ fn main() {
         println!(
             "wire total: {} msgs, {} bytes",
             stats.wire_total_messages(),
-            stats.wire_total_bytes()
+            stats.readings().wire_total_bytes()
         );
     }
     // 7. In spill mode, the memory budget must have pushed at least one
@@ -305,7 +305,7 @@ fn main() {
     if spill_mode {
         let snap = StatsSnapshot::capture(stats);
         assert!(
-            snap.store_spills >= 1,
+            snap.readings.get(Counter::StoreSpills) >= 1,
             "a 600 B budget with four 512 B blocks must spill at least once"
         );
         std::fs::write(
@@ -316,7 +316,10 @@ fn main() {
         println!(
             "store: {} spills ({} B), {} restores, {} hits -> \
              results/STORE_quickstart.json",
-            snap.store_spills, snap.store_spill_bytes, snap.store_restores, snap.store_hits
+            snap.readings.get(Counter::StoreSpills),
+            snap.readings.get(Counter::StoreSpillBytes),
+            snap.readings.get(Counter::StoreRestores),
+            snap.readings.get(Counter::StoreHits)
         );
     }
     // 8. In chaos mode, wait for the liveness sweep to attribute the kill
@@ -325,7 +328,7 @@ fn main() {
     //    the one injected kill and one lost peer.
     if chaos {
         let deadline = Instant::now() + Duration::from_secs(10);
-        while stats.peers_lost() < 1 {
+        while stats.get(Counter::PeersLost) < 1 {
             assert!(
                 Instant::now() < deadline,
                 "liveness sweep never declared the killed worker dead"
@@ -336,8 +339,8 @@ fn main() {
         // In-process chaos injects the kill itself; deploy-mode chaos has a
         // real SIGKILL from outside, so nothing is recorded as injected.
         let expected_injected = if deploy.is_some() { 0 } else { 1 };
-        assert_eq!(snap.injected_kills, expected_injected);
-        assert_eq!(snap.peers_lost, 1);
+        assert_eq!(snap.readings.get(Counter::InjectedKills), expected_injected);
+        assert_eq!(snap.readings.get(Counter::PeersLost), 1);
         std::fs::write(
             "results/CHAOS_quickstart.json",
             snap.to_json().to_string_pretty(),
@@ -346,7 +349,9 @@ fn main() {
         println!(
             "chaos: {} peer lost, {} tasks resubmitted, {} recomputes -> \
              results/CHAOS_quickstart.json",
-            snap.peers_lost, snap.tasks_resubmitted, snap.recomputes
+            snap.readings.get(Counter::PeersLost),
+            snap.readings.get(Counter::TasksResubmitted),
+            snap.readings.get(Counter::Recomputes)
         );
     }
     // 9. Under a stealing policy, demonstrate the steal path on a cluster
@@ -389,14 +394,14 @@ fn main() {
         }
         let lab_stats = lab.stats();
         assert!(
-            lab_stats.tasks_stolen() >= 1,
+            lab_stats.get(Counter::TasksStolen) >= 1,
             "a skewed queue under a stealing policy must steal at least once"
         );
         println!(
             "steal: requests={} misses={} stolen={}",
-            lab_stats.steal_requests(),
-            lab_stats.steal_misses(),
-            lab_stats.tasks_stolen()
+            lab_stats.get(Counter::StealRequests),
+            lab_stats.get(Counter::StealMisses),
+            lab_stats.get(Counter::TasksStolen)
         );
     }
     // 10. Telemetry mode: demonstrate the flight recorder and the online
@@ -456,7 +461,7 @@ fn main() {
         )]);
         client.future("tl-straggler").result().unwrap();
         assert_eq!(
-            stats.stragglers_flagged(),
+            stats.get(Counter::StragglersFlagged),
             1,
             "the injected 80 ms outlier — and nothing else — must be flagged"
         );
@@ -615,12 +620,12 @@ fn main() {
             )])
             .expect("the cap frees as work drains");
         assert_eq!(probe.future("over").result().unwrap().as_f64(), Some(1.0));
-        assert!(lab.stats().admission_rejections() >= 1);
-        assert_eq!(lab.stats().notifies_dropped(), 0);
+        assert!(lab.stats().get(Counter::AdmissionRejections) >= 1);
+        assert_eq!(lab.stats().get(Counter::NotifiesDropped), 0);
         println!(
             "admission: 1 rejection exercised and recovered (cap {TENANT_CAP}, \
              {} total rejections)",
-            lab.stats().admission_rejections()
+            lab.stats().get(Counter::AdmissionRejections)
         );
     }
     println!("quickstart OK");

@@ -14,7 +14,7 @@
 //!    the snapshot export, and `PeerLost` instants land in the trace.
 
 use deisa_repro::dtask::{
-    Cluster, ClusterConfig, Datum, ErrorCause, EventKind, FaultConfig, FaultPlan,
+    Cluster, ClusterConfig, Counter, Datum, ErrorCause, EventKind, FaultConfig, FaultPlan,
     HeartbeatInterval, Key, StatsSnapshot, TaskError, TaskSpec, TenancyConfig, TraceConfig,
 };
 use deisa_repro::linalg::NDArray;
@@ -103,20 +103,24 @@ fn killed_worker_with_replicated_blocks_yields_identical_results() {
         "a kill with surviving replicas must not change the result"
     );
     let stats = cluster.stats();
-    assert_eq!(stats.injected_kills(), 1);
-    assert_eq!(stats.peers_lost(), 1, "exactly the killed worker");
+    assert_eq!(stats.get(Counter::InjectedKills), 1);
+    assert_eq!(
+        stats.get(Counter::PeersLost),
+        1,
+        "exactly the killed worker"
+    );
     assert!(
-        stats.tasks_resubmitted() + stats.recomputes() >= 1,
+        stats.get(Counter::TasksResubmitted) + stats.get(Counter::Recomputes) >= 1,
         "recovery must have resubmitted or recomputed something"
     );
     // Worker pings were flowing before the kill.
-    assert!(stats.peers_tracked() >= 3);
+    assert!(stats.get(Counter::PeersTracked) >= 3);
     // The loss is visible in the trace and in the snapshot export.
     let log = cluster.tracer().collect();
     assert_eq!(log.events_of(EventKind::PeerLost).count(), 1);
     let snap = StatsSnapshot::capture(stats);
-    assert_eq!(snap.peers_lost, 1);
-    assert_eq!(snap.injected_kills, 1);
+    assert_eq!(snap.readings.get(Counter::PeersLost), 1);
+    assert_eq!(snap.readings.get(Counter::InjectedKills), 1);
     assert!(snap.to_json().to_string_compact().contains("\"fault\""));
 }
 
@@ -159,9 +163,9 @@ fn stranded_assignment_is_resubmitted_to_survivor() {
         .unwrap();
     assert_eq!(r.as_f64(), Some(9.0));
     let stats = cluster.stats();
-    assert_eq!(stats.peers_lost(), 1);
+    assert_eq!(stats.get(Counter::PeersLost), 1);
     assert!(
-        stats.tasks_resubmitted() >= 1,
+        stats.get(Counter::TasksResubmitted) >= 1,
         "the stranded assignment must have been resubmitted"
     );
     let log = cluster.tracer().collect();
@@ -195,8 +199,8 @@ fn unreplicated_block_loss_fails_downstream_cone_with_peer_lost() {
         "the loss attribution must survive the dependency cascade: {err:?}"
     );
     assert_eq!(err.key.as_str(), "lonely", "error names the lost block");
-    assert_eq!(cluster.stats().external_blocks_lost(), 1);
-    assert_eq!(cluster.stats().peers_lost(), 1);
+    assert_eq!(cluster.stats().get(Counter::ExternalBlocksLost), 1);
+    assert_eq!(cluster.stats().get(Counter::PeersLost), 1);
 }
 
 #[test]
@@ -274,7 +278,7 @@ fn dead_client_session_is_fully_reclaimed_by_liveness_sweep() {
     // not death, for clients exactly as for workers) — so let the doomed
     // client's first heartbeat land before killing it.
     let tracked_deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while cluster.stats().peers_tracked() < 4 {
+    while cluster.stats().get(Counter::PeersTracked) < 4 {
         assert!(
             std::time::Instant::now() < tracked_deadline,
             "client heartbeats never reached the scheduler"
@@ -297,7 +301,10 @@ fn dead_client_session_is_fully_reclaimed_by_liveness_sweep() {
         );
         std::thread::sleep(Duration::from_millis(25));
     }
-    assert!(cluster.stats().peers_lost() >= 1, "the sweep saw the death");
+    assert!(
+        cluster.stats().get(Counter::PeersLost) >= 1,
+        "the sweep saw the death"
+    );
 
     // The surviving tenant is untouched and the cluster still serves it.
     assert_eq!(survivor.future("keep").result().unwrap().nbytes(), 16 * 8);
@@ -351,5 +358,5 @@ fn fault_plan_schedules_a_kill_at_a_step() {
             .unwrap();
         assert_eq!(r.as_f64(), Some(step as f64));
     }
-    assert_eq!(cluster.stats().injected_kills(), 1);
+    assert_eq!(cluster.stats().get(Counter::InjectedKills), 1);
 }

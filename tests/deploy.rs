@@ -109,7 +109,7 @@ fn deployed_cluster_matches_in_process_results() {
     // serialized frames both ways.
     let stats = cluster.stats();
     assert!(stats.wire_total_messages() > 0);
-    assert!(stats.wire_total_bytes() > stats.wire_total_messages());
+    assert!(stats.readings().wire_total_bytes() > stats.wire_total_messages());
 
     drop(cluster);
     let mut workers = Vec::new();

@@ -6,7 +6,7 @@
 
 use deisa_repro::darray::{self, ChunkGrid, DArray, Graph};
 use deisa_repro::dtask::{
-    Cluster, ClusterConfig, Datum, DeployConfig, FaultConfig, HeartbeatInterval, Key,
+    Cluster, ClusterConfig, Counter, Datum, DeployConfig, FaultConfig, HeartbeatInterval, Key,
 };
 use deisa_repro::linalg::NDArray;
 use std::process::{Child, Command, Stdio};
@@ -139,14 +139,14 @@ fn sigkill_worker_process_recovers_with_one_peer_lost() {
 
     // Liveness must detect exactly one lost peer.
     let deadline = Instant::now() + Duration::from_secs(15);
-    while cluster.stats().peers_lost() < 1 {
+    while cluster.stats().get(Counter::PeersLost) < 1 {
         assert!(
             Instant::now() < deadline,
             "scheduler never noticed the killed worker process"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert_eq!(cluster.stats().peers_lost(), 1);
+    assert_eq!(cluster.stats().get(Counter::PeersLost), 1);
 
     // Remaining blocks go to the survivors; the pre-submitted graph then
     // completes through recovery — replicas of blocks 0/1 survive on
@@ -168,9 +168,13 @@ fn sigkill_worker_process_recovers_with_one_peer_lost() {
     assert_eq!(answer, 64.0 * (1.0 + 2.0 + 3.0 + 4.0));
 
     let stats = cluster.stats();
-    assert_eq!(stats.peers_lost(), 1, "exactly one peer may be lost");
     assert_eq!(
-        stats.external_blocks_lost(),
+        stats.get(Counter::PeersLost),
+        1,
+        "exactly one peer may be lost"
+    );
+    assert_eq!(
+        stats.get(Counter::ExternalBlocksLost),
         0,
         "every external block had a surviving replica"
     );

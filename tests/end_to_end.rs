@@ -7,7 +7,7 @@ use deisa_repro::deisa::deisa1::{Adaptor1, Bridge1};
 use deisa_repro::deisa::plugin::DeisaPlugin;
 use deisa_repro::deisa::{Adaptor, DeisaVersion, Selection, VirtualArray};
 use deisa_repro::dml::{self, InSituIncrementalPCA, IncrementalPca, SvdSolver};
-use deisa_repro::dtask::{Cluster, Datum, Key};
+use deisa_repro::dtask::{Cluster, Counter, Datum, Key};
 use deisa_repro::h5lite::{H5Reader, H5Writer, SharedWriter};
 use deisa_repro::heat2d::{run_rank, HeatConfig, PostHocPlugin};
 use deisa_repro::linalg::Matrix;
@@ -122,7 +122,7 @@ fn deisa3_model() -> IncrementalPca {
     let model = analytics.join().unwrap();
     // Happy path: every client notification found a connected client — a
     // non-zero count here means results or queue items were silently lost.
-    assert_eq!(cluster.stats().notifies_dropped(), 0);
+    assert_eq!(cluster.stats().get(Counter::NotifiesDropped), 0);
     model
 }
 
@@ -184,7 +184,7 @@ fn deisa1_model() -> IncrementalPca {
     })
     .unwrap();
     let model = analytics.join().unwrap();
-    assert_eq!(cluster.stats().notifies_dropped(), 0);
+    assert_eq!(cluster.stats().get(Counter::NotifiesDropped), 0);
     model
 }
 

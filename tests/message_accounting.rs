@@ -5,8 +5,8 @@ use deisa_repro::darray::{self, Graph};
 use deisa_repro::deisa::deisa1::{Adaptor1, Bridge1};
 use deisa_repro::deisa::{Adaptor, Bridge, DeisaVersion, Selection, VirtualArray};
 use deisa_repro::dtask::{
-    Cluster, ClusterConfig, Datum, HeartbeatInterval, IngestMode, MsgClass, OptimizeConfig,
-    StoreConfig, TransportConfig, WireLane,
+    Cluster, ClusterConfig, Counter, Datum, HeartbeatInterval, IngestMode, MsgClass,
+    OptimizeConfig, StoreConfig, TransportConfig, WireLane,
 };
 use deisa_repro::linalg::NDArray;
 use deisa_repro::netsim::sizing::f64_block_bytes;
@@ -130,7 +130,7 @@ fn deisa1_metadata_matches_2tr_formula() {
     assert_eq!(stats.count(MsgClass::Queue) as usize, 2 * STEPS * RANKS);
     // Bridge-originated metadata = updates + pushes ≥ the paper's 2·T·R
     // (pops come from the adaptor; heartbeats are time-dependent).
-    assert!(stats.bridge_metadata_messages() as usize >= 2 * STEPS * RANKS);
+    assert!(stats.readings().bridge_metadata_messages() as usize >= 2 * STEPS * RANKS);
     // One graph submission per step.
     assert_eq!(stats.count(MsgClass::GraphSubmit) as usize, STEPS);
     assert_eq!(stats.count(MsgClass::Variable), 0);
@@ -178,7 +178,7 @@ fn deisa3_formula_survives_optimizer_and_batching() {
     assert_eq!(stats.count(MsgClass::GraphSubmit), 1);
     assert_eq!(stats.count(MsgClass::RegisterExternal), 1);
     // And the optimizer genuinely ran over the analytics graph.
-    assert!(stats.optimize_tasks_in() > 0);
+    assert!(stats.get(Counter::OptimizeTasksIn) > 0);
 }
 
 /// DEISA1 (per-step queues + classic scatter) under the optimized scheduler:
@@ -190,7 +190,7 @@ fn deisa1_formula_survives_optimizer_and_batching() {
     assert_eq!(stats.count(MsgClass::UpdateData) as usize, STEPS * RANKS);
     assert_eq!(stats.count(MsgClass::UpdateDataExternal), 0);
     assert_eq!(stats.count(MsgClass::Queue) as usize, 2 * STEPS * RANKS);
-    assert!(stats.bridge_metadata_messages() as usize >= 2 * STEPS * RANKS);
+    assert!(stats.readings().bridge_metadata_messages() as usize >= 2 * STEPS * RANKS);
     assert_eq!(stats.count(MsgClass::GraphSubmit) as usize, STEPS);
     assert_eq!(stats.count(MsgClass::Variable), 0);
 }
@@ -216,7 +216,7 @@ fn external_task_counts_identical_pre_post_optimize() {
     );
     // The optimized run got there with fewer scheduler->worker assignment
     // messages (per-worker coalescing), never more.
-    assert!(o.assign_messages() <= o.assign_tasks());
+    assert!(o.get(Counter::AssignMessages) <= o.get(Counter::AssignTasks));
 }
 
 /// The §2.1 formulas measured with every frame crossing real TCP sockets:
@@ -264,8 +264,8 @@ fn tcp_lane_bytes_reproduce_deisa_formulas() {
 fn deisa3_scheduler_load_is_far_below_deisa1() {
     let c1 = run_version(DeisaVersion::Deisa1);
     let c3 = run_version(DeisaVersion::Deisa3);
-    let meta1 = c1.stats().bridge_metadata_messages();
-    let meta3 = c3.stats().bridge_metadata_messages();
+    let meta1 = c1.stats().readings().bridge_metadata_messages();
+    let meta3 = c3.stats().readings().bridge_metadata_messages();
     assert!(
         meta1 >= 3 * meta3,
         "DEISA1 metadata {meta1} should dwarf DEISA3 {meta3}"
@@ -339,7 +339,7 @@ fn deisa1_window_counts_2tr_plus_heartbeats() {
     // …and the bridge total is exactly updates + queue ops + heartbeats:
     // the paper's `2·T·R + heartbeats`, with every term measured.
     assert_eq!(
-        stats.bridge_metadata_messages(),
+        stats.readings().bridge_metadata_messages(),
         (3 * STEPS * RANKS) as u64 + heartbeats
     );
     // Each of the R bridges pings ~every 5 ms across a ≥150 ms window.
@@ -389,7 +389,7 @@ fn deisa3_window_has_zero_heartbeats() {
     assert_eq!(stats.count(MsgClass::Heartbeat), 0);
     assert_eq!(stats.count(MsgClass::Variable) as usize, 3 + RANKS);
     assert_eq!(
-        stats.bridge_metadata_messages() as usize,
+        stats.readings().bridge_metadata_messages() as usize,
         3 + RANKS,
         "window must add no traffic at all"
     );
@@ -425,8 +425,8 @@ fn heartbeats_counted_exactly_once(ingest: IngestMode) {
     );
     // Liveness bookkeeping saw the same stream: the pinging client is
     // tracked (once), regardless of which ingest path drained it.
-    assert_eq!(stats.peers_tracked(), 1);
-    assert_eq!(stats.peers_lost(), 0);
+    assert_eq!(stats.get(Counter::PeersTracked), 1);
+    assert_eq!(stats.get(Counter::PeersLost), 0);
 }
 
 #[test]
@@ -504,11 +504,11 @@ fn proxies_keep_scheduler_lane_flat_as_blocks_grow_100x() {
     );
     // And the payload accounting matches the published volume exactly.
     assert_eq!(
-        l.proxy_put_bytes(),
+        l.get(Counter::ProxyPutBytes),
         STEPS as u64 * f64_block_bytes(160 * 160)
     );
     assert_eq!(
-        l.proxy_fetch_bytes(),
+        l.get(Counter::ProxyFetchBytes),
         STEPS as u64 * f64_block_bytes(160 * 160)
     );
 }
@@ -525,9 +525,9 @@ fn proxies_off_reproduces_exact_control_path_byte_counts() {
             stats.bytes(MsgClass::Variable),
             STEPS as u64 * f64_block_bytes(side * side)
         );
-        assert_eq!(stats.proxy_puts(), 0);
-        assert_eq!(stats.proxy_fetches(), 0);
-        assert_eq!(stats.store_spills(), 0);
+        assert_eq!(stats.get(Counter::ProxyPuts), 0);
+        assert_eq!(stats.get(Counter::ProxyFetches), 0);
+        assert_eq!(stats.get(Counter::StoreSpills), 0);
     }
 }
 
@@ -587,9 +587,9 @@ fn explicit_locality_policy_reproduces_seed_counts() {
     assert_eq!(e.bytes(MsgClass::ScatterData) as usize, STEPS * RANKS * 32);
     // …and the default policy generates zero steal traffic on either side.
     for stats in [i, e] {
-        assert_eq!(stats.steal_requests(), 0);
-        assert_eq!(stats.steal_misses(), 0);
-        assert_eq!(stats.tasks_stolen(), 0);
+        assert_eq!(stats.get(Counter::StealRequests), 0);
+        assert_eq!(stats.get(Counter::StealMisses), 0);
+        assert_eq!(stats.get(Counter::TasksStolen), 0);
     }
 }
 

@@ -17,7 +17,8 @@
 
 use deisa_repro::dtask::client::WaitError;
 use deisa_repro::dtask::{
-    Cluster, ClusterConfig, Datum, DatumRef, ErrorCause, Key, ObjectStore, StoreConfig, TaskSpec,
+    Cluster, ClusterConfig, Counter, Datum, DatumRef, ErrorCause, Key, ObjectStore, StoreConfig,
+    TaskSpec,
 };
 use deisa_repro::linalg::NDArray;
 use std::sync::Arc;
@@ -62,11 +63,11 @@ fn proxied_variable_round_trips_and_keeps_payload_off_the_control_path() {
     let got = getter.var_get("field").unwrap();
     assert_bits_equal(got.as_array().unwrap(), &payload);
     let stats = cluster.stats();
-    assert_eq!(stats.proxy_puts(), 1);
-    assert_eq!(stats.proxy_put_bytes(), 8 * 32 * 32);
+    assert_eq!(stats.get(Counter::ProxyPuts), 1);
+    assert_eq!(stats.get(Counter::ProxyPutBytes), 8 * 32 * 32);
     // var_get_raw resolved nothing; var_get resolved once.
-    assert_eq!(stats.proxy_fetches(), 1);
-    assert_eq!(stats.proxy_fetch_bytes(), 8 * 32 * 32);
+    assert_eq!(stats.get(Counter::ProxyFetches), 1);
+    assert_eq!(stats.get(Counter::ProxyFetchBytes), 8 * 32 * 32);
 }
 
 #[test]
@@ -85,7 +86,7 @@ fn small_values_and_scalars_stay_inline_even_with_proxies_on() {
         .unwrap()
         .as_ref_handle()
         .is_none());
-    assert_eq!(cluster.stats().proxy_puts(), 0);
+    assert_eq!(cluster.stats().get(Counter::ProxyPuts), 0);
 }
 
 #[test]
@@ -98,8 +99,8 @@ fn proxied_queue_items_resolve_on_pop_and_free_their_store_entry() {
     let first = consumer.q_pop("q").unwrap();
     assert_eq!(first.as_array().unwrap().get(&[100]), 7.0);
     assert_eq!(consumer.q_pop("q").unwrap().as_i64(), Some(42));
-    assert_eq!(cluster.stats().proxy_puts(), 1);
-    assert_eq!(cluster.stats().proxy_fetches(), 1);
+    assert_eq!(cluster.stats().get(Counter::ProxyPuts), 1);
+    assert_eq!(cluster.stats().get(Counter::ProxyFetches), 1);
     // Pop owns the payload: the store entry is deleted afterwards, so the
     // sum of worker memory drops back to zero once the delete lands.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -134,7 +135,7 @@ fn tasks_consume_proxy_handles_as_parameters() {
     client.submit(vec![TaskSpec::new("wsum", "param_sum", handle, vec![])]);
     let r = client.future("wsum").result().unwrap();
     assert_eq!(r.as_f64(), Some(256.0));
-    assert_eq!(cluster.stats().proxy_puts(), 1);
+    assert_eq!(cluster.stats().get(Counter::ProxyPuts), 1);
 }
 
 #[test]
@@ -160,7 +161,7 @@ fn overwriting_and_deleting_proxied_variables_frees_store_entries() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(cluster.stats().proxy_puts(), 2);
+    assert_eq!(cluster.stats().get(Counter::ProxyPuts), 2);
 }
 
 #[test]
@@ -184,12 +185,12 @@ fn spilled_entries_restore_bit_exact_through_the_full_stack() {
     client.var_set("weird", Datum::from(weird.clone()));
     client.var_set("pressure", block(9.0, 512)); // push `weird` out of memory
     assert!(
-        cluster.stats().store_spills() >= 1,
+        cluster.stats().get(Counter::StoreSpills) >= 1,
         "budget must have spilled"
     );
     let got = client.var_get("weird").unwrap();
     assert_bits_equal(got.as_array().unwrap(), &weird);
-    assert!(cluster.stats().store_restores() >= 1);
+    assert!(cluster.stats().get(Counter::StoreRestores) >= 1);
     let pressure = client.var_get("pressure").unwrap();
     assert_eq!(pressure.as_array().unwrap().get(&[17]), 9.0);
 }
@@ -285,7 +286,7 @@ fn proxies_off_is_byte_identical_to_the_old_behavior() {
         1.5
     );
     let stats = cluster.stats();
-    assert_eq!(stats.proxy_puts(), 0);
-    assert_eq!(stats.proxy_fetches(), 0);
-    assert_eq!(stats.store_spills(), 0);
+    assert_eq!(stats.get(Counter::ProxyPuts), 0);
+    assert_eq!(stats.get(Counter::ProxyFetches), 0);
+    assert_eq!(stats.get(Counter::StoreSpills), 0);
 }

@@ -12,8 +12,8 @@
 //!    compose instead of fighting.
 
 use deisa_repro::dtask::{
-    Cluster, ClusterConfig, Datum, EventKind, FaultConfig, FaultPlan, HeartbeatInterval, Key,
-    PolicyConfig, PolicyKind, StatsSnapshot, TaskSpec, TraceConfig,
+    Cluster, ClusterConfig, Counter, Datum, EventKind, FaultConfig, FaultPlan, HeartbeatInterval,
+    Key, PolicyConfig, PolicyKind, StatsSnapshot, TaskSpec, TraceConfig,
 };
 use std::time::Duration;
 
@@ -174,20 +174,20 @@ fn idle_worker_steals_from_skewed_queue() {
     }
     let stats = cluster.stats();
     assert!(
-        stats.tasks_stolen() >= 1,
+        stats.get(Counter::TasksStolen) >= 1,
         "an idle worker next to a 7-deep queue must steal, stole {}",
-        stats.tasks_stolen()
+        stats.get(Counter::TasksStolen)
     );
-    assert!(stats.steal_requests() >= 1);
+    assert!(stats.get(Counter::StealRequests) >= 1);
     // The counters surface in the snapshot and its JSON export.
     let snap = StatsSnapshot::capture(stats);
-    assert!(snap.tasks_stolen >= 1);
+    assert!(snap.readings.get(Counter::TasksStolen) >= 1);
     assert!(snap.to_json().to_string_compact().contains("\"steal\""));
     // Every successful steal leaves an instant in the trace.
     let log = cluster.tracer().collect();
     assert_eq!(
         log.events_of(EventKind::Steal).count() as u64,
-        stats.tasks_stolen()
+        stats.get(Counter::TasksStolen)
     );
 }
 
@@ -238,7 +238,7 @@ fn stolen_task_from_killed_worker_completes() {
     // Wait until the scheduler has re-pointed at least one assignment.
     let stats = cluster.stats();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while stats.tasks_stolen() == 0 {
+    while stats.get(Counter::TasksStolen) == 0 {
         assert!(
             std::time::Instant::now() < deadline,
             "no steal fired against a 7-deep queue"
@@ -254,8 +254,12 @@ fn stolen_task_from_killed_worker_completes() {
             .unwrap();
         assert_eq!(r.as_f64(), Some(2.5), "t{i} lost to the kill");
     }
-    assert!(stats.tasks_stolen() >= 1);
-    assert_eq!(stats.peers_lost(), 1, "exactly the killed victim");
+    assert!(stats.get(Counter::TasksStolen) >= 1);
+    assert_eq!(
+        stats.get(Counter::PeersLost),
+        1,
+        "exactly the killed victim"
+    );
     let log = cluster.tracer().collect();
     assert!(log.events_of(EventKind::Steal).count() >= 1);
     assert_eq!(log.events_of(EventKind::PeerLost).count(), 1);

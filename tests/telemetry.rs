@@ -5,7 +5,7 @@
 //! it adds a single message to the control plane.
 
 use deisa_repro::dtask::{
-    AlertKind, Cluster, ClusterConfig, Datum, EventKind, Key, TaskSpec, TelemetryConfig,
+    AlertKind, Cluster, ClusterConfig, Counter, Datum, EventKind, Key, TaskSpec, TelemetryConfig,
     TraceConfig,
 };
 use std::io::{Read, Write};
@@ -197,7 +197,7 @@ fn injected_straggler_is_flagged_exactly_once() {
 
     let hub = cluster.telemetry().unwrap();
     let alerts = hub.alerts();
-    assert_eq!(cluster.stats().stragglers_flagged(), 1);
+    assert_eq!(cluster.stats().get(Counter::StragglersFlagged), 1);
     assert_eq!(alerts.len(), 1, "{alerts:?}");
     assert_eq!(alerts[0].kind, AlertKind::Straggler);
     assert_eq!(alerts[0].key.as_deref(), Some("outlier"));
@@ -230,7 +230,7 @@ fn telemetry_adds_no_control_plane_messages() {
         client.scatter_external(vec![(Key::new("ext"), Datum::F64(2.0))], Some(0));
         assert_eq!(client.future("y").result().unwrap().as_f64(), Some(2.0));
         let control = cluster.stats().scheduler_control_messages();
-        let bridge = cluster.stats().bridge_metadata_messages();
+        let bridge = cluster.stats().readings().bridge_metadata_messages();
         cluster.shutdown();
         (control, bridge)
     };

@@ -19,7 +19,8 @@
 //!    session and records no tenant counters at all.
 
 use deisa_repro::dtask::{
-    Cluster, ClusterConfig, Datum, Key, StatsSnapshot, SubmitError, TaskSpec, TenancyConfig,
+    Cluster, ClusterConfig, Counter, Datum, Key, StatsSnapshot, SubmitError, TaskSpec,
+    TenancyConfig,
 };
 use std::time::Duration;
 
@@ -70,7 +71,7 @@ fn concurrent_sessions_with_identical_key_names_are_isolated() {
     assert_eq!(c2.future("blk").result().unwrap().as_f64(), Some(9.0));
 
     // Happy path: every notification found its client.
-    assert_eq!(cluster.stats().notifies_dropped(), 0);
+    assert_eq!(cluster.stats().get(Counter::NotifiesDropped), 0);
 
     // Per-tenant accounting saw both sessions.
     let snap = StatsSnapshot::capture(cluster.stats());
@@ -135,7 +136,7 @@ fn admission_cap_rejects_surfaces_and_recovers() {
         }
         other => panic!("expected admission rejection, got {other:?}"),
     }
-    assert_eq!(cluster.stats().admission_rejections(), 1);
+    assert_eq!(cluster.stats().get(Counter::AdmissionRejections), 1);
 
     // Recovery: drain the in-flight work, then the same graph is admitted.
     assert_eq!(client.future("s0").result().unwrap().as_f64(), Some(1.0));
@@ -146,7 +147,7 @@ fn admission_cap_rejects_surfaces_and_recovers() {
     assert_eq!(client.future("s2").result().unwrap().as_f64(), Some(9.0));
 
     let snap = StatsSnapshot::capture(cluster.stats());
-    assert_eq!(snap.admission_rejections, 1);
+    assert_eq!(snap.readings.get(Counter::AdmissionRejections), 1);
     let tenant = &snap
         .tenants
         .iter()
@@ -187,7 +188,7 @@ fn tenancy_off_serves_the_implicit_session_with_no_tenant_counters() {
         snap.tenants.is_empty(),
         "single-tenant clusters record no per-session counters"
     );
-    assert_eq!(snap.admission_rejections, 0);
+    assert_eq!(snap.readings.get(Counter::AdmissionRejections), 0);
     // The tenancy JSON section exists (schema is stable) but is empty.
     let doc = snap.to_json();
     let tenancy = doc.get("tenancy").expect("tenancy section");

@@ -17,8 +17,8 @@ use deisa_repro::darray::{self, Graph};
 use deisa_repro::deisa::deisa1::{Adaptor1, Bridge1};
 use deisa_repro::deisa::{Adaptor, Bridge, DeisaVersion, Selection, VirtualArray};
 use deisa_repro::dtask::{
-    Cluster, ClusterConfig, Datum, ErrorCause, FaultConfig, HeartbeatInterval, Key, MsgClass,
-    OptimizeConfig, SimNetConfig, TaskSpec, TransportConfig, WireLane,
+    Cluster, ClusterConfig, Counter, Datum, ErrorCause, FaultConfig, HeartbeatInterval, Key,
+    MsgClass, OptimizeConfig, SimNetConfig, TaskSpec, TransportConfig, WireLane,
 };
 use deisa_repro::linalg::NDArray;
 use std::time::Duration;
@@ -138,7 +138,7 @@ fn framed_cluster_matches_inproc_results_and_accounts_bytes() {
     // InProc moves references; it must record zero wire traffic.
     let pi = inproc.stats();
     assert_eq!(pi.wire_total_messages(), 0);
-    assert_eq!(pi.wire_total_bytes(), 0);
+    assert_eq!(pi.readings().wire_total_bytes(), 0);
 
     // Framed pushed everything through the codec: every lane carried real
     // serialized bytes (sched commands, executor assignments, data-server
@@ -263,7 +263,7 @@ fn fused_stage_error_cause_survives_framed_transport() {
             stored_key: Key::new("child")
         }
     );
-    assert_eq!(cluster.stats().fused_chains(), 1);
+    assert_eq!(cluster.stats().get(Counter::FusedChains), 1);
 }
 
 // ---- 1 + R contract-setup scaling in wire bytes ----------------------------
@@ -348,7 +348,7 @@ fn simnet_live_run_reproduces_deisa1_vs_deisa3_scheduler_gap() {
     assert_eq!(s1.count(MsgClass::Queue) as usize, 2 * STEPS * RANKS);
     assert_eq!(s1.count(MsgClass::UpdateData) as usize, STEPS * RANKS);
     assert_eq!(s1.count(MsgClass::GraphSubmit) as usize, STEPS);
-    assert!(s1.bridge_metadata_messages() as usize >= 2 * STEPS * RANKS);
+    assert!(s1.readings().bridge_metadata_messages() as usize >= 2 * STEPS * RANKS);
     assert_eq!(s3.count(MsgClass::Queue), 0);
     assert_eq!(s3.count(MsgClass::Heartbeat), 0);
     assert_eq!(s3.count(MsgClass::Variable) as usize, 3 + RANKS);
@@ -516,12 +516,12 @@ fn framed_dead_worker_with_replicas_yields_identical_results() {
             .unwrap();
         if kill {
             let stats = cluster.stats();
-            assert_eq!(stats.peers_lost(), 1);
+            assert_eq!(stats.get(Counter::PeersLost), 1);
             // Recovery may run through resubmission (a stranded assignment
             // re-queued onto a survivor) or recomputation (a finished result
             // that died with its holder) depending on which side of the kill
             // each task was on — either counts as the cycle crossing the wire.
-            assert!(stats.tasks_resubmitted() + stats.recomputes() >= 1);
+            assert!(stats.get(Counter::TasksResubmitted) + stats.get(Counter::Recomputes) >= 1);
         }
         total
     };
@@ -550,5 +550,5 @@ fn framed_dead_worker_without_replicas_errs_with_peer_lost() {
         .unwrap_err();
     assert_eq!(err.cause, ErrorCause::PeerLost, "{err:?}");
     assert_eq!(err.key.as_str(), "only");
-    assert_eq!(cluster.stats().external_blocks_lost(), 1);
+    assert_eq!(cluster.stats().get(Counter::ExternalBlocksLost), 1);
 }
